@@ -1,10 +1,13 @@
 """Batched vs per-row classification throughput (the fleet fast path).
 
 The batched `SupportVectorClassifier.predict` computes one Gram matrix
-against the deduplicated support-vector bank for the whole batch; the
-per-row loop pays Python + kernel overhead per sighting and per
-pairwise machine.  The REST layer inherits the win through
-``POST /sightings/batch``.  Predictions must be identical either way.
+against the deduplicated support-vector bank and one fused decision
+matrix for the whole batch; the per-row loop pays that fixed Python +
+numpy overhead once per sighting.  The REST layer inherits the win
+through ``POST /sightings/batch``.  Predictions must be identical
+either way.  Both times are gated as absolute series in
+``bench_baseline.json``: the ratio alone would also move when the
+per-row oracle gets faster.
 """
 
 import time

@@ -67,7 +67,13 @@ class FingerprintVectorizer:
         """A batch of fingerprints to an (n, features) matrix."""
         if not fingerprints:
             return np.empty((0, self.n_features))
-        return np.vstack([self.transform_one(fp) for fp in fingerprints])
+        missing = self.missing_value
+        return np.array(
+            [
+                [float(fp[b]) if b in fp else missing for b in self.beacon_ids]
+                for fp in fingerprints
+            ]
+        )
 
 
 @dataclass

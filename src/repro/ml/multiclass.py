@@ -177,13 +177,15 @@ class OneVsRestClassifier:
         return self.fit(X, y, gram=gram)
 
     def _build_sv_bank(self, X: np.ndarray, kernel: Optional[Kernel]) -> None:
-        """Deduplicate support vectors across the per-class machines.
+        """Fold the per-class machines into one decision matrix.
 
         The machines all train on the full ``X``, so their support
-        indices address the same rows; :meth:`decision_matrix`
-        evaluates the kernel against the union once and each machine
-        slices out its own rows — one Gram per batch instead of one
-        per class (mirroring the one-vs-one bank in
+        indices address the same rows; the union becomes a shared
+        *bank*, and each machine's ``dual_coef_`` is scattered into its
+        bank columns of a dense ``(n_classes, n_bank)`` coefficient
+        matrix.  :meth:`decision_matrix` then costs one Gram and one
+        contraction per batch instead of one Gram per class (the same
+        fold as the one-vs-one
         :class:`repro.ml.svm.SupportVectorClassifier`).
         """
         self._bank_kernel = None
@@ -192,23 +194,18 @@ class OneVsRestClassifier:
             isinstance(m, BinarySVM) and m.kernel == kernel for m in machines
         ):
             return
-        unique_rows = sorted(
-            {int(i) for m in machines for i in m.support_indices_}
-        )
-        bank_index = {row: k for k, row in enumerate(unique_rows)}
         #: Training-set row of each bank vector (see the matching
         #: attribute on SupportVectorClassifier).
-        self.sv_bank_indices_ = np.asarray(unique_rows, dtype=int)
-        self._sv_bank = (
-            X[unique_rows] if unique_rows else np.empty((0, X.shape[1]))
+        self.sv_bank_indices_ = np.unique(
+            np.concatenate([m.support_indices_ for m in machines])
         )
+        self._sv_bank = X[self.sv_bank_indices_]
         self._sv_bank_sq = kernel.row_sq_norms(self._sv_bank)
-        self._sv_bank_rows = {
-            cls: np.asarray(
-                [bank_index[int(i)] for i in m.support_indices_], dtype=int
-            )
-            for cls, m in self._machines.items()
-        }
+        self._dual_coef = np.zeros((len(machines), len(self.sv_bank_indices_)))
+        for c, m in enumerate(machines):
+            cols = np.searchsorted(self.sv_bank_indices_, m.support_indices_)
+            self._dual_coef[c, cols] = m.dual_coef_
+        self._intercept = np.array([m.intercept_ for m in machines])
         self._bank_kernel = kernel
 
     def decision_matrix(
@@ -228,8 +225,7 @@ class OneVsRestClassifier:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        bank = getattr(self, "_sv_bank", None)
-        if self._bank_kernel is None or bank is None:
+        if self._bank_kernel is None:
             # Heterogeneous machines: one Gram per class machine.
             return np.column_stack(
                 [
@@ -237,29 +233,16 @@ class OneVsRestClassifier:
                     for cls in self.classes_
                 ]
             )
-        if bank_gram is not None and bank.shape[0]:
-            bank_gram = np.asarray(bank_gram, dtype=float)
-            if bank_gram.shape != (bank.shape[0], X.shape[0]):
+        if bank_gram is None:
+            K = self._bank_kernel.gram(self._sv_bank, X, x_sq=self._sv_bank_sq)
+        else:
+            K = np.asarray(bank_gram, dtype=float)
+            if K.shape != (self._sv_bank.shape[0], X.shape[0]):
                 raise ValueError(
                     f"bank_gram must have shape "
-                    f"{(bank.shape[0], X.shape[0])}, got {bank_gram.shape}"
+                    f"{(self._sv_bank.shape[0], X.shape[0])}, got {K.shape}"
                 )
-            K_bank = bank_gram
-        else:
-            K_bank = (
-                self._bank_kernel.gram(bank, X, x_sq=self._sv_bank_sq)
-                if bank.shape[0]
-                else None
-            )
-        columns = []
-        for cls in self.classes_:
-            machine = self._machines[cls]
-            rows = self._sv_bank_rows[cls]
-            if K_bank is None or rows.size == 0:
-                columns.append(np.full(X.shape[0], -machine.intercept_))
-            else:
-                columns.append(machine.decision_from_gram(K_bank[rows]))
-        return np.column_stack(columns)
+        return np.einsum("ck,kn->nc", self._dual_coef, K) - self._intercept
 
     def predict(
         self,

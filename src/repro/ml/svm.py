@@ -536,18 +536,6 @@ class BinarySVM:
         )
         return self.dual_coef_ @ K - self.intercept_
 
-    def decision_from_gram(self, K_sv_rows: np.ndarray) -> np.ndarray:
-        """Decision values from precomputed kernel rows.
-
-        Args:
-            K_sv_rows: ``(n_support, m)`` kernel evaluations between
-                this machine's support vectors (in training order) and
-                the query points.
-        """
-        if not self._fitted:
-            raise RuntimeError("BinarySVM is not fitted")
-        return self.dual_coef_ @ K_sv_rows - self.intercept_
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted labels in {-1, +1}."""
         scores = self.decision_function(X)
@@ -845,26 +833,37 @@ class SupportVectorClassifier:
     def _build_sv_bank(
         self, X: np.ndarray, sv_global: Dict[Tuple[int, int], np.ndarray]
     ) -> None:
-        """Deduplicate support vectors across the pairwise machines.
+        """Fold the pairwise machines into one decision matrix.
 
-        A training row is often a support vector of several machines;
-        :meth:`predict` evaluates the kernel against the union once and
-        each machine slices out its own rows, so the whole one-vs-one
-        ensemble costs a single Gram computation per batch.
+        A training row is often a support vector of several machines,
+        so the union is deduplicated into a shared *bank*.  Each
+        machine's ``dual_coef_`` is scattered into its bank columns of
+        a dense ``(n_pairs, n_bank)`` coefficient matrix, and a signed
+        ``(n_pairs, n_classes)`` matrix (+1 for the pair's first class,
+        -1 for its second) routes each decision to its two classes:
+        :meth:`predict` then costs one Gram and a few small
+        contractions per batch, however many machines there are.
         """
-        unique_rows = sorted({int(i) for rows in sv_global.values() for i in rows})
-        bank_index = {row: k for k, row in enumerate(unique_rows)}
+        pairs = list(self._machines)
         #: Training-set row of each bank vector, in bank order — lets
         #: callers that know where the training rows sit inside a
         #: larger cached dataset slice the bank Gram instead of
         #: recomputing it (see model_selection._score_fold).
-        self.sv_bank_indices_ = np.asarray(unique_rows, dtype=int)
-        self._sv_bank = X[unique_rows] if unique_rows else np.empty((0, X.shape[1]))
+        self.sv_bank_indices_ = np.unique(
+            np.concatenate([sv_global[pair] for pair in pairs])
+        )
+        self._sv_bank = X[self.sv_bank_indices_]
         self._sv_bank_sq = self.kernel.row_sq_norms(self._sv_bank)
-        self._sv_bank_rows = {
-            pair: np.asarray([bank_index[int(i)] for i in rows], dtype=int)
-            for pair, rows in sv_global.items()
-        }
+        self._dual_coef = np.zeros((len(pairs), len(self.sv_bank_indices_)))
+        self._pair_sign = np.zeros((len(pairs), len(self.classes_)))
+        for p, (a, b) in enumerate(pairs):
+            cols = np.searchsorted(self.sv_bank_indices_, sv_global[(a, b)])
+            self._dual_coef[p, cols] = self._machines[(a, b)].dual_coef_
+            self._pair_sign[p, a], self._pair_sign[p, b] = 1.0, -1.0
+        self._intercept = np.array([self._machines[pair].intercept_ for pair in pairs])
+        # A class starts with one vote per pair it is second in; a
+        # pair won by its first class moves that vote across.
+        self._base_votes = np.count_nonzero(self._pair_sign < 0.0, axis=0)
 
     def predict(
         self,
@@ -874,7 +873,7 @@ class SupportVectorClassifier:
     ) -> np.ndarray:
         """Majority vote across pairwise machines.
 
-        Ties are broken by the summed absolute decision values, then by
+        Ties are broken by the summed signed decision values, then by
         class order (deterministic).
 
         Args:
@@ -891,48 +890,26 @@ class SupportVectorClassifier:
             if X.ndim == 1:
                 X = X.reshape(1, -1)
             n = X.shape[0]
-            n_classes = len(self.classes_)
-            votes = np.zeros((n, n_classes))
-            scores = np.zeros((n, n_classes))
-            # One shared Gram against the deduplicated support-vector
-            # bank serves every pairwise machine (models fitted before
-            # the bank existed fall back to per-machine evaluation).
-            bank = getattr(self, "_sv_bank", None)
-            if bank_gram is not None and bank is not None and bank.shape[0]:
-                bank_gram = np.asarray(bank_gram, dtype=float)
-                if bank_gram.shape != (bank.shape[0], n):
-                    raise ValueError(
-                        f"bank_gram must have shape {(bank.shape[0], n)}, "
-                        f"got {bank_gram.shape}"
-                    )
-                K_bank = bank_gram
+            if bank_gram is None:
+                K = self.kernel.gram(self._sv_bank, X, x_sq=self._sv_bank_sq)
             else:
-                K_bank = (
-                    self.kernel.gram(bank, X, x_sq=self._sv_bank_sq)
-                    if bank is not None and bank.shape[0]
-                    else None
-                )
-            # repro: noqa[numeric-dict-reduction] _machines is built in a
-            # fixed nested loop over sorted class pairs, so iteration
-            # order replays
-            for (a, b), machine in self._machines.items():
-                if bank is None:
-                    decision = machine.decision_function(X)
-                else:
-                    rows = self._sv_bank_rows[(a, b)]
-                    if rows.size == 0:
-                        decision = np.full(n, -machine.intercept_)
-                    else:
-                        decision = machine.decision_from_gram(K_bank[rows])
-                winner_a = decision >= 0.0
-                votes[winner_a, a] += 1
-                votes[~winner_a, b] += 1
-                scores[:, a] += decision
-                scores[:, b] -= decision
+                K = np.asarray(bank_gram, dtype=float)
+                if K.shape != (self._sv_bank.shape[0], n):
+                    raise ValueError(
+                        f"bank_gram must have shape {(self._sv_bank.shape[0], n)}, "
+                        f"got {K.shape}"
+                    )
+            # Unoptimised einsum reduces in a fixed order per element,
+            # so a row's decisions do not depend on the batch around it.
+            decision = (
+                np.einsum("pk,kn->pn", self._dual_coef, K)
+                - self._intercept[:, None]
+            )
+            votes = self._base_votes + (decision >= 0.0).T @ self._pair_sign
+            scores = np.einsum("pn,pc->nc", decision, self._pair_sign)
             # Lexicographic: votes first, aggregate score as tiebreak.
             ranking = votes + 1e-9 * np.tanh(scores)
-            winners = np.argmax(ranking, axis=1)
-            return np.asarray([self.classes_[w] for w in winners])
+            return np.asarray(self.classes_)[np.argmax(ranking, axis=1)]
 
     def score(
         self,

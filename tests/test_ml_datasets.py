@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.datasets import (
     MISSING_DISTANCE_M,
@@ -45,6 +46,33 @@ class TestVectorizer:
 
     def test_default_missing_is_30m(self):
         assert FingerprintVectorizer(["a"]).missing_value == MISSING_DISTANCE_M
+
+    @given(
+        fingerprints=st.lists(
+            st.dictionaries(
+                # Known beacon ids plus ids the vectoriser has never seen.
+                st.sampled_from(["1-1", "1-2", "1-3", "9-9", "x"]),
+                st.one_of(
+                    st.floats(allow_nan=False, width=64),
+                    st.integers(min_value=-(2**40), max_value=2**40),
+                ),
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        missing=st.sampled_from([MISSING_DISTANCE_M, -1.0, 0.0, 1e6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_transform_bitwise_equals_stacked_rows(
+        self, fingerprints, missing
+    ):
+        vec = FingerprintVectorizer(["1-3", "1-1", "1-2"], missing_value=missing)
+        batch = vec.transform(fingerprints)
+        rows = np.vstack([vec.transform_one(fp) for fp in fingerprints])
+        assert batch.dtype == rows.dtype == np.float64
+        assert batch.shape == rows.shape
+        assert batch.tobytes() == rows.tobytes()
 
 
 class TestDataset:

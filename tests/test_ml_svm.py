@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.kernels import LinearKernel, RbfKernel
+from repro.ml.kernels import LinearKernel, PolynomialKernel, RbfKernel
 from repro.ml.svm import BinarySVM, SupportVectorClassifier
 
 
@@ -221,11 +221,16 @@ class TestBatchedPrediction:
         bank_rows = model._sv_bank.shape[0]
         total_sv = model.n_support_total
         assert 0 < bank_rows <= total_sv
-        for pair, machine in model._machines.items():
-            assert len(model._sv_bank_rows[pair]) == machine.n_support_
+        for p, machine in enumerate(model._machines.values()):
+            # Each machine's duals sit in its own bank columns of the
+            # dense coefficient matrix, in support-vector order.
+            cols = np.flatnonzero(model._dual_coef[p])
+            assert len(cols) == machine.n_support_
+            np.testing.assert_array_equal(
+                model._dual_coef[p, cols], machine.dual_coef_
+            )
             np.testing.assert_allclose(
-                model._sv_bank[model._sv_bank_rows[pair]],
-                machine.support_vectors_,
+                model._sv_bank[cols], machine.support_vectors_
             )
 
     def test_sv_sq_norms_cached_per_machine(self):
@@ -242,20 +247,142 @@ class TestBatchedPrediction:
         model = self._fingerprint_model(seed=7)
         rng = np.random.default_rng(11)
         X = rng.uniform(0.0, 8.0, size=(32, 4))
-        batched = model.predict(X)
-        # Recompute the vote with the unshared decision functions.
-        n = X.shape[0]
-        votes = np.zeros((n, len(model.classes_)))
-        scores = np.zeros((n, len(model.classes_)))
-        for (a, b), machine in model._machines.items():
-            decision = machine.decision_function(X)
-            winner_a = decision >= 0.0
-            votes[winner_a, a] += 1
-            votes[~winner_a, b] += 1
-            scores[:, a] += decision
-            scores[:, b] -= decision
-        ranking = votes + 1e-9 * np.tanh(scores)
-        expected = np.asarray(
-            [model.classes_[w] for w in np.argmax(ranking, axis=1)]
+        np.testing.assert_array_equal(
+            model.predict(X), per_machine_vote_oracle(model, X)
         )
-        np.testing.assert_array_equal(batched, expected)
+
+
+def per_machine_vote_oracle(model, X):
+    """One-vs-one vote with one Python step per pairwise machine.
+
+    The loop ``SupportVectorClassifier.predict`` ran before the fused
+    decision matrix, kept here as the oracle the fused path must match:
+    each machine scores ``X`` through its own ``decision_function``.
+    """
+    n = X.shape[0]
+    votes = np.zeros((n, len(model.classes_)))
+    scores = np.zeros((n, len(model.classes_)))
+    for (a, b), machine in model._machines.items():
+        decision = machine.decision_function(X)
+        winner_a = decision >= 0.0
+        votes[winner_a, a] += 1
+        votes[~winner_a, b] += 1
+        scores[:, a] += decision
+        scores[:, b] -= decision
+    ranking = votes + 1e-9 * np.tanh(scores)
+    return np.asarray([model.classes_[w] for w in np.argmax(ranking, axis=1)])
+
+
+def strip_support_vectors(model, pairs, intercepts=None):
+    """Empty the given machines' support sets and rebuild the bank.
+
+    A machine with no support vectors decides by its intercept alone;
+    ``intercepts`` optionally overrides each stripped machine's.
+    """
+    y = model._fit_y
+    sv_global = {}
+    for (a, b), machine in model._machines.items():
+        if (a, b) in pairs:
+            machine.support_vectors_ = machine.support_vectors_[:0]
+            machine.support_indices_ = machine.support_indices_[:0]
+            machine.dual_coef_ = machine.dual_coef_[:0]
+            machine.n_support_ = 0
+            machine._sv_sq_norms = model.kernel.row_sq_norms(
+                machine.support_vectors_
+            )
+            if intercepts is not None:
+                machine.intercept_ = intercepts[(a, b)]
+        pair_rows = np.flatnonzero(
+            (y == model.classes_[a]) | (y == model.classes_[b])
+        )
+        sv_global[(a, b)] = pair_rows[machine.support_indices_]
+    model._build_sv_bank(model._fit_X, sv_global)
+
+
+FUSED_KERNELS = [
+    LinearKernel(),
+    PolynomialKernel(degree=2, gamma=0.2, coef0=1.0),
+    RbfKernel(0.5),
+]
+
+
+class TestFusedPredict:
+    """The fused decision matrix reproduces the per-machine vote."""
+
+    @given(
+        kernel=st.sampled_from(FUSED_KERNELS),
+        n_classes=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+        after=st.sampled_from(["fit", "refresh", "warm refresh"]),
+        stripped=st.one_of(st.none(), st.integers(min_value=0, max_value=14)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fused_labels_equal_per_machine_oracle(
+        self, kernel, n_classes, seed, after, stripped
+    ):
+        rng = np.random.default_rng(seed)
+        centers = [tuple(rng.uniform(0.0, 4.0, size=3)) for _ in range(n_classes)]
+        X, y = blobs(rng, centers, n_per=12, spread=0.8)
+        labels = np.array([f"room-{int(k)}" for k in y])
+        model = SupportVectorClassifier(c=5.0, kernel=kernel, max_iter=5_000)
+        if after == "fit":
+            model.fit(X, labels)
+        else:
+            # Hold back a few rows of one class and absorb them later,
+            # so refresh mixes refitted and reused machines.
+            held = np.flatnonzero(labels == labels[0])[-3:]
+            keep = np.setdiff1d(np.arange(len(labels)), held)
+            model.fit(X[keep], labels[keep])
+            model.refresh(
+                X[held], labels[held], warm_start=after == "warm refresh"
+            )
+        if stripped is not None:
+            pairs = list(model._machines)
+            strip_support_vectors(model, {pairs[stripped % len(pairs)]})
+        Q = rng.uniform(-1.0, 5.0, size=(9, 3))
+        fused = model.predict(Q)
+        np.testing.assert_array_equal(fused, per_machine_vote_oracle(model, Q))
+        per_row = [model.predict(row.reshape(1, -1))[0] for row in Q]
+        np.testing.assert_array_equal(fused, np.asarray(per_row))
+
+    @staticmethod
+    def _three_class_model():
+        rng = np.random.default_rng(0)
+        X, y = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], n_per=10)
+        return SupportVectorClassifier(c=5.0).fit(X, np.array(["a", "b", "c"])[y])
+
+    @pytest.mark.parametrize(
+        "d01, d02, d12, expected",
+        [
+            # Each class wins exactly one pair (a 1-1-1 vote tie); the
+            # summed signed decisions then pick the winner.
+            (0.5, -0.2, 0.1, "a"),  # scores a=+0.3, b=-0.4, c=+0.1
+            (0.1, -0.5, 0.2, "c"),  # scores a=-0.4, b=+0.1, c=+0.3
+            (0.1, -0.3, 0.4, "b"),  # scores a=-0.2, b=+0.3, c=-0.1
+            # Votes and scores both tie: class order decides.
+            (0.25, -0.25, 0.25, "a"),
+        ],
+    )
+    def test_vote_tie_broken_by_summed_decisions(self, d01, d02, d12, expected):
+        model = self._three_class_model()
+        # Machines without support vectors decide -intercept everywhere.
+        intercepts = {(0, 1): -d01, (0, 2): -d02, (1, 2): -d12}
+        strip_support_vectors(model, set(intercepts), intercepts)
+        Q = np.zeros((2, 2))
+        np.testing.assert_array_equal(model.predict(Q), [expected, expected])
+        np.testing.assert_array_equal(
+            per_machine_vote_oracle(model, Q), [expected, expected]
+        )
+
+    def test_all_machines_without_support_vectors(self):
+        """An empty bank still predicts: every machine votes on its
+        intercept alone (here all zero, so the first class sweeps)."""
+        rng = np.random.default_rng(1)
+        X, y = blobs(rng, [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)], n_per=10)
+        model = SupportVectorClassifier(max_iter=0).fit(X, y)
+        assert model._sv_bank.shape == (0, 2)
+        Q = rng.uniform(0.0, 4.0, size=(5, 2))
+        np.testing.assert_array_equal(model.predict(Q), [0] * 5)
+        np.testing.assert_array_equal(
+            model.predict(Q), per_machine_vote_oracle(model, Q)
+        )
