@@ -86,8 +86,8 @@ class Uplink(abc.ABC):
             ``None`` (the default), :meth:`queue_report` degenerates to
             the per-report :meth:`send_report`.
 
-    Backpressure: a sharded BMS front door may answer **429** with a
-    ``retry_after_s`` hint when its ingress queue is full.  The uplink
+    Backpressure: an overloaded BMS router may answer **429** with a
+    ``retry_after_s`` hint.  The uplink
     honours the hint with up to :attr:`max_backpressure_retries`
     retransmissions (each re-paying radio bytes/energy, advancing the
     request's logical time by the hint), counted under

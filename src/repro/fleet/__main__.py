@@ -57,12 +57,7 @@ def _run_replay(args) -> int:
     if args.occupancy:
         _write_occupancy(server.snapshot(), args.occupancy)
     if args.history:
-        history = (
-            server.merged_history()
-            if hasattr(server, "merged_history")
-            else server.history
-        )
-        _write_history(history, args.history)
+        _write_history(server.history, args.history)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -114,17 +109,10 @@ def main(argv=None) -> int:
         "(default: one per worker; pin this when comparing worker counts)",
     )
     parser.add_argument(
-        "--service-shards", type=int, default=None,
-        help="run the BMS as a sharded front door with this many "
-        "per-shard stores (results are byte-identical across shard "
-        "counts; default: the plain single-store server)",
-    )
-    parser.add_argument(
         "--wal", metavar="DIR", default=None,
         help="write a durable sighting WAL (plus manifest and "
         "calibration) into this directory, making the run "
-        "recoverable with --replay (requires --shards 1; "
-        "--service-shards composes, one sub-log per store shard)",
+        "recoverable with --replay (requires --shards 1)",
     )
     parser.add_argument(
         "--replay", metavar="DIR", default=None,
@@ -138,8 +126,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--occupancy", metavar="PATH", default=None,
         help="write the final merged occupancy snapshot as JSON here "
-        "(single-system runs only; the CI shard-invariance smoke "
-        "diffs it across --service-shards values)",
+        "(single-system runs only; the CI replay smoke diffs it "
+        "against the recovered snapshot)",
     )
     parser.add_argument(
         "--history", metavar="PATH", default=None,
@@ -184,7 +172,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         profile=args.profile,
         columnar=args.columnar,
-        service_shards=args.service_shards,
         wal_dir=args.wal,
     )
     report = generator.run()

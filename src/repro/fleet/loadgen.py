@@ -43,7 +43,6 @@ from repro.parallel.engine import ShardPlan, ShardResult, ShardSpec, run_shards
 from repro.server.bms import OccupancySnapshot
 from repro.server.persistence import save_calibration
 from repro.server.replay import CALIBRATION_NAME, write_manifest
-from repro.server.sharded import ShardedBmsService
 from repro.sim.rng import derive_seed
 from repro.traces.wal import SightingWal
 
@@ -208,23 +207,11 @@ class FleetLoadGenerator:
             telemetry aggregates at a fraction of the per-device cost;
             composes with ``shards``/``workers`` (each shard drives
             its sub-fleet columnar) and with tracing/profiling.
-        service_shards: when set, swap the system's single-store BMS
-            for a :class:`~repro.server.sharded.ShardedBmsService`
-            front door with this many per-shard stores (write-through
-            drain, so every post still answers with its room).  The
-            report and occupancy snapshot are byte-identical across
-            service shard counts — the front door's own
-            ``server.frontdoor.*`` counters feed the report's batch
-            statistics, which are shard-count invariant by
-            construction.  ``None`` (the default) keeps the plain
-            single-store server.
         wal_dir: write a durable sighting WAL (plus ``manifest.json``
             and the initial-train ``calibration.json``) into this
             directory, making the run recoverable by ``fleet
             --replay``.  Requires an unsharded fleet (``shards=1``;
-            sub-fleets have no single building-wide store to log) —
-            ``service_shards`` composes fine, each service shard
-            logging its own ``shard-NN`` sub-log.
+            sub-fleets have no single building-wide store to log).
     """
 
     def __init__(
@@ -244,7 +231,6 @@ class FleetLoadGenerator:
         device_offset: int = 0,
         profile: bool = False,
         columnar: bool = False,
-        service_shards: Optional[int] = None,
         wal_dir: Optional[str] = None,
     ) -> None:
         if devices < 1:
@@ -255,10 +241,6 @@ class FleetLoadGenerator:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if service_shards is not None and service_shards < 1:
-            raise ValueError(
-                f"service_shards must be >= 1, got {service_shards}"
-            )
         if device_offset < 0:
             raise ValueError(f"device_offset must be >= 0, got {device_offset}")
         self.devices = int(devices)
@@ -276,23 +258,18 @@ class FleetLoadGenerator:
         self.device_offset = int(device_offset)
         self.profile = bool(profile)
         self.columnar = bool(columnar)
-        self.service_shards = (
-            int(service_shards) if service_shards is not None else None
-        )
         self.wal_dir = wal_dir
         if self.wal_dir is not None and self.shards > 1:
             raise ValueError(
-                "wal_dir requires an unsharded fleet (shards=1); use "
-                "service_shards to shard the store behind one WAL"
+                "wal_dir requires an unsharded fleet (shards=1)"
             )
         #: Final merged occupancy snapshot of the last single-system
-        #: run (the CI shard-invariance smoke diffs it); ``None``
+        #: run (the CI replay smoke diffs it); ``None``
         #: before :meth:`run` and on the sub-fleet (``shards > 1``)
         #: path, where there is no single building-wide store.
         self.last_occupancy: Optional[OccupancySnapshot] = None
-        #: The last single-system run's occupancy history (merged
-        #: across service shards when ``service_shards`` is set) — the
-        #: replay CI smoke diffs it against the recovered history.
+        #: The last single-system run's occupancy history — the replay
+        #: CI smoke diffs it against the recovered history.
         self.last_history = None
 
     def run(self) -> FleetReport:
@@ -322,33 +299,6 @@ class FleetLoadGenerator:
     # ------------------------------------------------------------------
     # Single-system path (one BMS, all devices)
     # ------------------------------------------------------------------
-    def _attach_sharded_service(
-        self, system: OccupancyDetectionSystem
-    ) -> ShardedBmsService:
-        """Swap the system's single-store BMS for the sharded front door.
-
-        The service inherits the system's exact server configuration —
-        beacon feature space, missing-value fill, device timeout, and
-        (via ``classifier_factory``) the seeded classifier recipe — so
-        a ``service_shards=1`` run reproduces the single store's
-        predictions bit-for-bit, and higher shard counts reproduce
-        *those*.  Write-through drain keeps every post synchronous, as
-        the uplinks expect.
-        """
-        plain = system.bms
-        service = ShardedBmsService(
-            beacon_ids=list(plain.vectorizer.beacon_ids),
-            shards=self.service_shards,
-            classifier_factory=system._make_classifier,
-            missing_value=plain.vectorizer.missing_value,
-            device_timeout_s=plain.device_timeout_s,
-            registry=self.obs,
-            drain_policy="immediate",
-            wal_dir=self.wal_dir,
-        )
-        system.bms = service
-        return service
-
     def _run_single(self) -> Tuple[FleetReport, _ShardStats]:
         config = SystemConfig(
             seed=self.seed,
@@ -357,9 +307,6 @@ class FleetLoadGenerator:
             uplink_batch_delay_s=self.batch_delay_s,
         )
         system = OccupancyDetectionSystem(self.plan, config, registry=self.obs)
-        service = None
-        if self.service_shards is not None:
-            service = self._attach_sharded_service(system)
         with profiling.measure("fleet.calibrate"):
             system.calibrate(duration_s=self.calibration_s)
         with profiling.measure("fleet.train"):
@@ -372,24 +319,18 @@ class FleetLoadGenerator:
             # the directory alone.  Sighting logs only start now —
             # calibration never touches the ingest path.
             wal_path = Path(self.wal_dir)
-            if service is None:
-                system.bms.attach_wal(
-                    SightingWal(wal_path / "shard-00", registry=self.obs)
-                )
-            store = (
-                system.bms._shards[0] if service is not None else system.bms
-            )
+            bms = system.bms
+            bms.attach_wal(SightingWal(wal_path / "shard-00", registry=self.obs))
             write_manifest(
                 wal_path,
-                beacon_ids=list(store.vectorizer.beacon_ids),
-                missing_value=store.vectorizer.missing_value,
-                device_timeout_s=store.device_timeout_s,
+                beacon_ids=list(bms.vectorizer.beacon_ids),
+                missing_value=bms.vectorizer.missing_value,
+                device_timeout_s=bms.device_timeout_s,
                 svm_c=config.svm_c,
                 svm_gamma=config.svm_gamma,
                 seed=self.seed,
-                shards=self.service_shards or 1,
             )
-            save_calibration(system.bms, wal_path / CALIBRATION_NAME)
+            save_calibration(bms, wal_path / CALIBRATION_NAME)
         for i in range(self.devices):
             index = self.device_offset + i
             mobility = RandomWaypoint(
@@ -404,32 +345,15 @@ class FleetLoadGenerator:
             else:
                 run = system.run(self.duration_s)
 
-        if service is not None:
-            # Fold every shard store's telemetry into the run registry,
-            # then read the *front-door* batch statistics: shard-level
-            # server.batches counts coalesced per-shard ingests (it
-            # varies with the shard count), the front door counts one
-            # per arriving request (it does not).
-            service.merge_telemetry_into(self.obs)
-            batches = int(self.obs.counter("server.frontdoor.batches").value)
-            batch_hist = self.obs.histogram("server.frontdoor.batch_size")
-        else:
-            batches = int(self.obs.counter("server.batches").value)
-            batch_hist = self.obs.histogram("server.batch_size")
+        batches = int(self.obs.counter("server.batches").value)
+        batch_hist = self.obs.histogram("server.batch_size")
         ingested = int(self.obs.counter("server.sightings").value)
         self.last_occupancy = system.bms.snapshot()
-        self.last_history = (
-            service.merged_history()
-            if service is not None
-            else system.bms.history
-        )
+        self.last_history = system.bms.history
         if self.wal_dir is not None:
-            # Seal the active segments so the directory is complete on
+            # Seal the active segment so the directory is complete on
             # disk the moment the run returns.
-            if service is not None:
-                service.close_wals()
-            elif system.bms.wal is not None:
-                system.bms.wal.close()
+            system.bms.wal.close()
         throughput = ingested / self.duration_s
         attempts = sum(s.attempts for s in run.delivery.values())  # repro: noqa[numeric-dict-reduction] integer counts, order-free
         delivered = sum(s.delivered for s in run.delivery.values())  # repro: noqa[numeric-dict-reduction] integer counts, order-free
@@ -491,7 +415,6 @@ class FleetLoadGenerator:
                     "record_events": isinstance(self.obs.sink, MemorySink),
                     "profile": self.profile,
                     "columnar": self.columnar,
-                    "service_shards": self.service_shards,
                 }
             )
             offset += count

@@ -56,7 +56,10 @@ __all__ = [
 DEFAULT_RESULTS = Path("BENCH_results.json")
 DEFAULT_BASELINE = Path("benchmarks") / "bench_baseline.json"
 
-_FLOAT_RE = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+#: A number, with optional comma-grouped thousands (``f"{x:,.0f}"``).
+_FLOAT_RE = re.compile(
+    r"[-+]?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][-+]?\d+)?"
+)
 
 
 @dataclass(frozen=True)
@@ -95,12 +98,12 @@ class Violation:
 def parse_value(measured: str) -> Optional[float]:
     """The leading float of a measured string, or ``None``.
 
-    ``"3.68x"`` -> 3.68, ``"14.2%"`` -> 14.2, ``"std 0.83 m"`` -> 0.83;
-    purely textual cells (``"yes"``) yield ``None`` and drop out of the
-    series.
+    ``"3.68x"`` -> 3.68, ``"14.2%"`` -> 14.2, ``"std 0.83 m"`` -> 0.83,
+    ``"58,412"`` -> 58412.0; purely textual cells (``"yes"``) yield
+    ``None`` and drop out of the series.
     """
     match = _FLOAT_RE.search(measured)
-    return float(match.group(0)) if match else None
+    return float(match.group(0).replace(",", "")) if match else None
 
 
 def load_results(path: Path) -> List[dict]:

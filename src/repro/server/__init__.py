@@ -15,13 +15,7 @@ from repro.server.client import BmsApiError, BmsClient, RoomHistory
 from repro.server.deployment import DeploymentManager, DeploymentReport
 from repro.server.history import OccupancyHistory
 from repro.server.persistence import load_calibration, save_calibration
-from repro.server.replay import (
-    ReplayReport,
-    replay_sharded,
-    replay_wal,
-    server_from_manifest,
-)
-from repro.server.sharded import DrainResult, ShardedBmsService, shard_for
+from repro.server.replay import ReplayReport, replay_wal, server_from_manifest
 
 __all__ = [
     "Database",
@@ -42,10 +36,6 @@ __all__ = [
     "load_calibration",
     "save_calibration",
     "ReplayReport",
-    "replay_sharded",
     "replay_wal",
     "server_from_manifest",
-    "DrainResult",
-    "ShardedBmsService",
-    "shard_for",
 ]

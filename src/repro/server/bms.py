@@ -322,12 +322,7 @@ class BuildingManagementServer:
         self._now = max(self._now, float(time))
         return room
 
-    def ingest_batch(
-        self,
-        sightings: Sequence[Mapping[str, Any]],
-        *,
-        rooms: Optional[Sequence[str]] = None,
-    ) -> List[str]:
+    def ingest_batch(self, sightings: Sequence[Mapping[str, Any]]) -> List[str]:
         """Store many sighting reports and classify them in one pass.
 
         Args:
@@ -336,19 +331,12 @@ class BuildingManagementServer:
                 order, so a device appearing twice ends up where its
                 last report puts it — exactly as if each report had
                 been ingested individually.
-            rooms: pre-computed room labels, one per sighting.  The
-                sharded service's worker-pool drain classifies batches
-                in child processes and hands the labels back here so
-                the bookkeeping (storage, counters, occupancy state)
-                still happens exactly once, in the parent, in order.
-                Must match what :meth:`classify_batch` would return.
 
         Returns:
             The estimated room labels, one per sighting, in order.
 
         Raises:
-            ValueError: a sighting is missing its device id, or
-                ``rooms`` has the wrong length.
+            ValueError: a sighting is missing its device id.
             RuntimeError: the classifier has not been trained.
         """
         if not sightings:
@@ -356,17 +344,7 @@ class BuildingManagementServer:
         for sighting in sightings:
             if not sighting.get("device_id"):
                 raise ValueError("device_id must not be empty")
-        if rooms is None:
-            rooms = self.classify_batch([s["beacons"] for s in sightings])
-        else:
-            if not self.trained:
-                raise RuntimeError("BMS classifier is not trained; call train()")
-            if len(rooms) != len(sightings):
-                raise ValueError(
-                    f"got {len(rooms)} precomputed rooms for "
-                    f"{len(sightings)} sightings"
-                )
-            rooms = [str(room) for room in rooms]
+        rooms = self.classify_batch([s["beacons"] for s in sightings])
         if self.wal is not None:
             # One record per batch: durability cost is amortised over
             # the batch, and replay re-applies it through ingest_batch
@@ -448,15 +426,6 @@ class BuildingManagementServer:
     def sighting_count(self) -> int:
         """Number of sighting reports stored."""
         return len(self.db.table("sightings"))
-
-    @property
-    def now(self) -> float:
-        """Latest sighting time this server has seen (its local clock).
-
-        The sharded front door takes the max across shards to build a
-        globally consistent snapshot time.
-        """
-        return self._now
 
     # ------------------------------------------------------------------
     # REST interface (Section IV.B's Flask endpoints)

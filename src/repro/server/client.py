@@ -5,8 +5,8 @@ deployment: thin, validated wrappers over the REST routes, raising
 :class:`BmsApiError` on non-2xx responses instead of leaking status
 codes into application logic.
 
-The client honours the sharded service's backpressure protocol: a
-**429** response carrying a ``retry_after_s`` hint is retried up to
+The client honours HTTP backpressure, a status any router may return:
+a **429** response carrying a ``retry_after_s`` hint is retried up to
 ``max_backpressure_retries`` times, advancing the request's logical
 time by the hint each attempt (the in-process stand-in for sleeping).
 Exhausted retries surface as a :class:`BmsApiError` with status 429.
@@ -143,8 +143,7 @@ class BmsClient:
         """Upload one sighting; returns the estimated room.
 
         Returns ``None`` when the server accepted the sighting but
-        deferred its classification (a sharded front door answering
-        202-queued under a non-write-through drain policy).
+        answered without a room (deferred classification, 202).
         """
         body = self._call(
             "POST", "/sightings",

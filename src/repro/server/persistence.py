@@ -3,11 +3,7 @@
 A real deployment calibrates once and reuses the fingerprint database
 across server restarts.  This module serialises the fingerprint store
 (plus the beacon/feature configuration needed to interpret it) to a
-JSON document and restores it into a fresh BMS — single-store or
-sharded: a :class:`~repro.server.sharded.ShardedBmsService` broadcasts
-calibration to every shard, so saving reads shard 0 (identical
-everywhere) and loading goes through the service's broadcast
-``add_fingerprint``, restoring K identical shard models from one file.
+JSON document and restores it into a fresh BMS.
 """
 
 from __future__ import annotations
@@ -25,60 +21,44 @@ PathLike = Union[str, Path]
 FORMAT_VERSION = 1
 
 
-def _calibration_store(bms) -> BuildingManagementServer:
-    """The single store holding ``bms``'s calibration fingerprints.
-
-    A sharded service (duck-typed by its ``_shards`` list) broadcasts
-    calibration, so shard 0 is authoritative.
-    """
-    shards = getattr(bms, "_shards", None)
-    if shards:
-        return shards[0]
-    return bms
-
-
-def save_calibration(bms, path: PathLike) -> int:
+def save_calibration(bms: BuildingManagementServer, path: PathLike) -> int:
     """Write the BMS's fingerprints and feature config to JSON.
 
     Args:
-        bms: a :class:`~repro.server.bms.BuildingManagementServer` or
-            :class:`~repro.server.sharded.ShardedBmsService` (saved
-            from shard 0; calibration is broadcast, so every shard
-            holds the same rows).
+        bms: the server whose fingerprints to save.
         path: JSON file to write.
 
     Returns:
         Number of fingerprints saved.
     """
     path = Path(path)
-    store = _calibration_store(bms)
     rows = [
         {
             "time": row["time"],
             "room": row["room"],
             "beacons": row["beacons"],
         }
-        for row in store.db.table("fingerprints")
+        for row in bms.db.table("fingerprints")
     ]
     document = {
         "format": FORMAT_VERSION,
-        "beacon_ids": store.vectorizer.beacon_ids,
-        "missing_value": store.vectorizer.missing_value,
+        "beacon_ids": bms.vectorizer.beacon_ids,
+        "missing_value": bms.vectorizer.missing_value,
         "fingerprints": rows,
     }
     path.write_text(json.dumps(document, indent=1), encoding="utf-8")
     return len(rows)
 
 
-def load_calibration(bms, path: PathLike, *, train: bool = True) -> int:
+def load_calibration(
+    bms: BuildingManagementServer, path: PathLike, *, train: bool = True
+) -> int:
     """Restore fingerprints saved by :func:`save_calibration`.
 
     Args:
-        bms: a server (or sharded service) whose beacon set matches
-            the saved document; a service's broadcast
-            ``add_fingerprint`` restores every shard.
+        bms: a server whose beacon set matches the saved document.
         path: JSON file to read.
-        train: retrain the classifier(s) after loading.
+        train: retrain the classifier after loading.
 
     Returns:
         Number of fingerprints loaded.
@@ -93,11 +73,10 @@ def load_calibration(bms, path: PathLike, *, train: bool = True) -> int:
             f"unsupported calibration format {document.get('format')!r}"
         )
     saved_beacons = list(document.get("beacon_ids", []))
-    store = _calibration_store(bms)
-    if saved_beacons != store.vectorizer.beacon_ids:
+    if saved_beacons != bms.vectorizer.beacon_ids:
         raise ValueError(
             "beacon set mismatch: saved "
-            f"{saved_beacons} vs server {store.vectorizer.beacon_ids}"
+            f"{saved_beacons} vs server {bms.vectorizer.beacon_ids}"
         )
     count = 0
     for row in document.get("fingerprints", []):

@@ -35,13 +35,11 @@ from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
 from repro.server.bms import BuildingManagementServer
 from repro.server.persistence import load_calibration
-from repro.server.sharded import ShardedBmsService
 from repro.traces.wal import read_wal_records
 
 __all__ = [
     "ReplayReport",
     "load_manifest",
-    "replay_sharded",
     "replay_wal",
     "server_from_manifest",
     "write_manifest",
@@ -188,75 +186,6 @@ def replay_wal(
     )
 
 
-def replay_sharded(
-    service: ShardedBmsService,
-    directory: PathLike,
-    *,
-    chunk: int = DEFAULT_REPLAY_CHUNK,
-) -> ReplayReport:
-    """Re-apply per-shard WALs into a fresh sharded service.
-
-    Each ``shard-NN`` sub-log replays into the matching shard store
-    (shard WALs record each store's applied operations in its apply
-    order), and the front-door routing table is rebuilt so device
-    reads keep honouring past routing decisions.  Merged snapshots,
-    history and per-shard telemetry come out byte-identical to the
-    live service's.
-
-    Raises:
-        ValueError: the directory's shard count does not match
-            ``service.shards``, a shard log directory's suffix is not
-            numeric, or the numeric suffixes are not exactly
-            ``0..shards-1`` (lexicographic order would misroute
-            ``shard-100`` before ``shard-11``, so logs pair with
-            stores by parsed index, never by sort position).
-    """
-    directory = Path(directory)
-
-    def shard_suffix(path: Path) -> int:
-        try:
-            return int(path.name[len("shard-") :])
-        except ValueError:
-            raise ValueError(
-                f"unrecognised shard log directory {path.name!r} "
-                f"in {directory}"
-            ) from None
-
-    shard_dirs = sorted(
-        (path for path in directory.glob("shard-*") if path.is_dir()),
-        key=shard_suffix,
-    )
-    if len(shard_dirs) != service.shards:
-        raise ValueError(
-            f"WAL directory has {len(shard_dirs)} shard logs but the "
-            f"service has {service.shards} shards"
-        )
-    reports = []
-    for index, shard_dir in enumerate(shard_dirs):
-        if shard_suffix(shard_dir) != index:
-            raise ValueError(
-                f"shard log {shard_dir.name!r} does not match shard "
-                f"index {index}; expected suffixes 0..{service.shards - 1}"
-            )
-        shard = service._shards[index]
-        reports.append(replay_wal(shard, shard_dir, chunk=chunk))
-        # Rebuild the routing table from the replayed sightings: every
-        # device logged by this shard was last routed here.
-        for row in shard.db.table("sightings"):
-            service._device_shard[row["device_id"]] = index
-    firsts = [r.first_time for r in reports if r.first_time is not None]
-    lasts = [r.last_time for r in reports if r.last_time is not None]
-    return ReplayReport(
-        records=sum(r.records for r in reports),
-        sightings=sum(r.sightings for r in reports),
-        batches=sum(r.batches for r in reports),
-        history_marks=sum(r.history_marks for r in reports),
-        refreshes=sum(r.refreshes for r in reports),
-        first_time=min(firsts) if firsts else None,
-        last_time=max(lasts) if lasts else None,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fleet WAL-directory manifest
 # ----------------------------------------------------------------------
@@ -276,11 +205,16 @@ def write_manifest(
     Together with the ``calibration.json`` the fleet driver saves at
     initial-train time, the manifest makes the WAL directory
     self-contained: :func:`server_from_manifest` rebuilds the exact
-    live server with no other inputs.
+    live server with no other inputs.  ``shards`` must be 1: the log
+    lives in the single ``shard-00`` sub-directory.
 
     Returns:
         The manifest path.
+
+    Raises:
+        ValueError: ``shards`` is not 1.
     """
+    _check_shards(shards)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_NAME
@@ -298,6 +232,14 @@ def write_manifest(
         json.dumps(document, indent=1, sort_keys=True), encoding="utf-8"
     )
     return path
+
+
+def _check_shards(shards: Any) -> None:
+    if shards != 1:
+        raise ValueError(
+            f"manifest field 'shards' must be 1 (one store, one "
+            f"shard-00 log), got {shards!r}"
+        )
 
 
 def load_manifest(directory: PathLike) -> Dict[str, Any]:
@@ -320,46 +262,34 @@ def load_manifest(directory: PathLike) -> Dict[str, Any]:
 def server_from_manifest(directory: PathLike, *, registry=None, chunk: int = DEFAULT_REPLAY_CHUNK):
     """Rebuild and replay the server a fleet WAL directory describes.
 
-    Constructs the server (single-store, or sharded when the manifest
-    says ``shards > 1``) with the manifest's parameters, loads and
-    trains on the saved calibration, then replays the log.
+    Constructs the server with the manifest's parameters, loads and
+    trains on the saved calibration, then replays the ``shard-00`` log.
 
     Returns:
-        ``(server, report)`` — the rebuilt server (a
-        :class:`BuildingManagementServer` or
-        :class:`ShardedBmsService`) and the :class:`ReplayReport`.
+        ``(server, report)`` — the rebuilt
+        :class:`BuildingManagementServer` and the :class:`ReplayReport`.
+
+    Raises:
+        ValueError: no manifest or calibration, or a manifest whose
+            ``shards`` field is not 1 (a log written by a multi-store
+            run this server cannot rebuild).
     """
     directory = Path(directory)
     manifest = load_manifest(directory)
+    _check_shards(manifest.get("shards", 1))
     calibration = directory / CALIBRATION_NAME
     if not calibration.exists():
         raise ValueError(
             f"{calibration} not found; was this WAL written by fleet?"
         )
 
-    def make_classifier():
-        return SupportVectorClassifier(
+    server = BuildingManagementServer(
+        beacon_ids=list(manifest["beacon_ids"]),
+        classifier=SupportVectorClassifier(
             c=manifest["svm_c"],
             kernel=RbfKernel(gamma=manifest["svm_gamma"]),
             seed=manifest["seed"],
-        )
-
-    shards = int(manifest.get("shards", 1))
-    if shards > 1:
-        service = ShardedBmsService(
-            beacon_ids=list(manifest["beacon_ids"]),
-            shards=shards,
-            classifier_factory=make_classifier,
-            missing_value=manifest["missing_value"],
-            device_timeout_s=manifest["device_timeout_s"],
-            registry=registry,
-            drain_policy="immediate",
-        )
-        load_calibration(service, calibration)
-        return service, replay_sharded(service, directory, chunk=chunk)
-    server = BuildingManagementServer(
-        beacon_ids=list(manifest["beacon_ids"]),
-        classifier=make_classifier(),
+        ),
         missing_value=manifest["missing_value"],
         device_timeout_s=manifest["device_timeout_s"],
         registry=registry,

@@ -96,8 +96,8 @@ class HttpError(Exception):
     """Raised by handlers to produce a non-2xx response.
 
     ``extra`` fields are merged into the error body alongside
-    ``"error"`` — machine-readable hints (e.g. the sharded service's
-    ``retry_after_s`` on 429s) ride there.
+    ``"error"`` — machine-readable hints (e.g. ``retry_after_s`` on
+    429s) ride there.
     """
 
     def __init__(

@@ -30,6 +30,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import (
     Any,
@@ -108,21 +109,24 @@ def _columnar_batch_row(
     newline forces the inline row encoding instead of corrupting the
     column.
     """
-    devices = [str(s["device_id"]) for s in sightings]
-    if any("\n" in d for d in devices):
-        return None
     n = len(sightings)
+    devices = "\n".join([str(s["device_id"]) for s in sightings])
+    if devices.count("\n") != n - 1:
+        return None
     times = np.fromiter(
         (s.get("time", 0.0) for s in sightings), dtype=np.float64, count=n
     )
     beacon_lists = [s["beacons"] for s in sightings]
-    first_keys = tuple(beacon_lists[0])
+    key_orders = set(map(tuple, beacon_lists))
     mask = None
-    if all(tuple(b) == first_keys for b in beacon_lists):
+    if len(key_orders) == 1:
+        (first_keys,) = key_orders
         names = [str(k) for k in first_keys]
-        values = np.asarray(
-            [list(b.values()) for b in beacon_lists], dtype=np.float64
-        )
+        values = np.fromiter(
+            chain.from_iterable(b.values() for b in beacon_lists),
+            dtype=np.float64,
+            count=n * len(names),
+        ).reshape(n, len(names))
         order = sorted(range(len(names)), key=names.__getitem__)
         names = [names[j] for j in order]
         values = np.ascontiguousarray(values[:, order])
@@ -142,7 +146,7 @@ def _columnar_batch_row(
         "time": float(times[-1]),
         "n": n,
         "beacon_names": names,
-        "devices": "\n".join(devices),
+        "devices": devices,
         "t64": _b64(times),
         "v64": _b64(values),
     }

@@ -250,47 +250,8 @@ class TestBatchPolicy:
             BatchPolicy(max_delay_s=-1.0)
 
 
-def backpressured_router(reject_first_n, retry_after_s=0.5):
-    """A router that 429s the first N dispatches, then accepts.
-
-    Mirrors the sharded front door's backpressure wire format; records
-    every dispatched request in ``router.seen`` so tests can check the
-    retry's advanced logical time.
-    """
-    from repro.server.rest import HttpError
-
-    router = Router()
-    router.seen = []
-    state = {"remaining": reject_first_n}
-
-    def guard(request):
-        router.seen.append(request)
-        if state["remaining"] > 0:
-            state["remaining"] -= 1
-            raise HttpError(
-                429,
-                "ingress queue full",
-                extra={"retry_after_s": retry_after_s, "shard": 0},
-            )
-
-    @router.route("POST", "/sightings")
-    def post(request, params):
-        guard(request)
-        return {"room": "kitchen"}
-
-    @router.route("POST", "/sightings/batch")
-    def post_batch(request, params):
-        guard(request)
-        return {
-            "rooms": ["kitchen"] * len(request.body["sightings"]),
-            "count": len(request.body["sightings"]),
-        }
-
-    return router
-
-
 class TestUplinkBackpressure:
-    def test_retry_honours_hint_then_delivers(self):
+    def test_retry_honours_hint_then_delivers(self, backpressured_router):
         router = backpressured_router(reject_first_n=1, retry_after_s=0.5)
         uplink = WifiUplink(router, rng=np.random.default_rng(0))
         response = uplink.send_report(report(time=1.0))
@@ -303,7 +264,7 @@ class TestUplinkBackpressure:
         assert snapshot["uplink.backpressure_retries"]["value"] == 1.0
         assert snapshot["uplink.backpressure_dropped"]["value"] == 0.0
 
-    def test_bounded_retries_then_drop(self):
+    def test_bounded_retries_then_drop(self, backpressured_router):
         router = backpressured_router(reject_first_n=10)
         uplink = WifiUplink(router, rng=np.random.default_rng(0))
         response = uplink.send_report(report(time=1.0))
@@ -318,7 +279,7 @@ class TestUplinkBackpressure:
         )
         assert snapshot["uplink.backpressure_dropped"]["value"] == 1.0
 
-    def test_batch_drop_counts_every_report(self):
+    def test_batch_drop_counts_every_report(self, backpressured_router):
         router = backpressured_router(reject_first_n=10)
         uplink = WifiUplink(router, rng=np.random.default_rng(0))
         response = uplink.send_batch([report(1.0), report(2.0), report(3.0)])
@@ -327,7 +288,7 @@ class TestUplinkBackpressure:
         snapshot = uplink.obs.snapshot()
         assert snapshot["uplink.backpressure_dropped"]["value"] == 3.0
 
-    def test_backpressure_retries_cost_bytes_and_energy(self):
+    def test_backpressure_retries_cost_bytes_and_energy(self, backpressured_router):
         router = backpressured_router(reject_first_n=1)
         uplink = WifiUplink(router, rng=np.random.default_rng(0))
         uplink.send_report(report(time=1.0))
@@ -339,7 +300,7 @@ class TestUplinkBackpressure:
         assert uplink.stats.bytes_sent == 2 * baseline.stats.bytes_sent
         assert uplink.stats.energy_j > baseline.stats.energy_j
 
-    def test_on_backpressure_seam_runs_before_each_retry(self):
+    def test_on_backpressure_seam_runs_before_each_retry(self, backpressured_router):
         router = backpressured_router(reject_first_n=1)
         uplink = WifiUplink(router, rng=np.random.default_rng(0))
         calls = []
@@ -349,7 +310,7 @@ class TestUplinkBackpressure:
         uplink.send_report(report(time=1.0))
         assert calls == [(1.5, 1)]
 
-    def test_zero_bound_drops_immediately(self):
+    def test_zero_bound_drops_immediately(self, backpressured_router):
         router = backpressured_router(reject_first_n=10)
         uplink = WifiUplink(router, rng=np.random.default_rng(0))
         uplink.max_backpressure_retries = 0

@@ -87,36 +87,8 @@ class TestFleetLoadGenerator:
         # here would still keep handled >= ingested).
         assert report.requests_handled >= report.reports_ingested
 
-
-class TestServiceShards:
-    """The sharded front door as a drop-in for the fleet's BMS."""
-
-    def run_json(self, service_shards, **kwargs):
-        import json
-
-        generator = small_fleet(service_shards=service_shards, **kwargs)
-        report = generator.run()
-        snap = generator.last_occupancy
-        return (
-            json.dumps(report.to_dict(), sort_keys=True),
-            json.dumps(
-                {"time": snap.time, "rooms": snap.rooms, "devices": snap.devices},
-                sort_keys=True,
-            ),
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            small_fleet(service_shards=0)
-
-    def test_sharded_service_matches_plain_store(self):
-        assert self.run_json(None) == self.run_json(1)
-
-    def test_report_and_occupancy_invariant_to_shard_count(self):
-        assert self.run_json(1) == self.run_json(4)
-
     def test_last_occupancy_exposed_after_single_run(self):
-        generator = small_fleet(service_shards=2)
+        generator = small_fleet()
         assert generator.last_occupancy is None
         generator.run()
         assert generator.last_occupancy is not None
@@ -138,13 +110,8 @@ class TestFleetWal:
         with pytest.raises(ValueError, match="unsharded"):
             small_fleet(devices=4, shards=2, wal_dir="/tmp/nope")
 
-    @pytest.mark.parametrize("service_shards", [None, 2])
-    def test_replay_recovers_snapshot_and_history(
-        self, tmp_path, service_shards
-    ):
-        generator, server, report = self.live_and_replayed(
-            tmp_path, service_shards=service_shards
-        )
+    def test_replay_recovers_snapshot_and_history(self, tmp_path):
+        generator, server, report = self.live_and_replayed(tmp_path)
         live_snap = generator.last_occupancy
         snap = server.snapshot()
         assert (snap.time, snap.rooms, snap.devices) == (
@@ -152,11 +119,7 @@ class TestFleetWal:
             live_snap.rooms,
             live_snap.devices,
         )
-        history = (
-            server.merged_history()
-            if service_shards is not None
-            else server.history
-        )
+        history = server.history
         live_history = generator.last_history
         assert {r: history.series(r) for r in history.rooms()} == {
             r: live_history.series(r) for r in live_history.rooms()
@@ -166,11 +129,10 @@ class TestFleetWal:
     def test_manifest_records_the_run_shape(self, tmp_path):
         from repro.server.replay import load_manifest
 
-        self.live_and_replayed(tmp_path, service_shards=2)
+        self.live_and_replayed(tmp_path)
         manifest = load_manifest(tmp_path / "wal")
-        assert manifest["shards"] == 2
+        assert manifest["shards"] == 1
         assert manifest["seed"] == 1
         assert sorted((tmp_path / "wal").glob("shard-*")) == [
             tmp_path / "wal" / "shard-00",
-            tmp_path / "wal" / "shard-01",
         ]

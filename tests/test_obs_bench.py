@@ -45,6 +45,9 @@ class TestParseValue:
             ("std 0.83 m", 0.83),
             ("-5 dBm", -5.0),
             ("1e-3 s", 1e-3),
+            ("58,412", 58412.0),
+            ("1,234.5", 1234.5),
+            ("1,234,567 B", 1234567.0),
         ],
     )
     def test_leading_float(self, measured, expected):
@@ -254,7 +257,6 @@ class TestCommittedBaseline:
             "benchmarks/test_perf_columnar.py",
             "benchmarks/test_perf_parallel.py",
             "benchmarks/test_perf_refresh.py",
-            "benchmarks/test_perf_sharded_service.py",
             "benchmarks/test_perf_svm_train.py",
             "benchmarks/test_perf_wal_replay.py",
         }

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.server.bms import BuildingManagementServer
-from repro.server.client import BmsApiError, BmsClient
+from repro.server.client import BmsApiError, BmsClient, RoomHistory
 from repro.server.persistence import load_calibration, save_calibration
+
+KITCHEN = {"1-1": 1.2, "1-2": 8.0}
+LIVING = {"1-1": 8.0, "1-2": 1.3}
 
 
 def fresh_bms():
@@ -70,6 +73,90 @@ class TestBmsClient:
         assert excinfo.value.status == 400
 
 
+class TestClientBackpressure:
+    """The client's bounded retries of a 429 + ``retry_after_s`` answer."""
+
+    def test_retry_honours_hint_and_succeeds_after_drain(self, backpressured_router):
+        router = backpressured_router(reject_first_n=1, retry_after_s=2.0)
+        observed = []
+
+        def on_backpressure(next_time, attempt):
+            observed.append((next_time, attempt))
+
+        client = BmsClient(router, on_backpressure=on_backpressure)
+        assert client.post_sighting("d-new", LIVING, time=1.0) == "kitchen"
+        assert observed == [(3.0, 1)]  # 1.0 + the 2.0s retry_after hint
+        assert client.backpressure_retries == 1
+        assert [request.time for request in router.seen] == [1.0, 3.0]
+
+    def test_bounded_retries_then_api_error(self, backpressured_router):
+        router = backpressured_router(reject_first_n=10)
+        client = BmsClient(router, max_backpressure_retries=2)
+        with pytest.raises(BmsApiError) as excinfo:
+            client.post_sightings_batch(
+                [{"device_id": "d-new", "beacons": LIVING}], time=1.0
+            )
+        assert excinfo.value.status == 429
+        assert client.backpressure_retries == 2
+        assert len(router.seen) == 3
+
+    def test_zero_retries_fails_fast(self, backpressured_router):
+        router = backpressured_router(reject_first_n=10)
+        client = BmsClient(router, max_backpressure_retries=0)
+        with pytest.raises(BmsApiError):
+            client.post_sightings_batch(
+                [{"device_id": "d-new", "beacons": LIVING}], time=1.0
+            )
+        assert client.backpressure_retries == 0
+        assert len(router.seen) == 1
+
+
+class TestTypedClientWrappers:
+    def make_served_client(self):
+        bms, client = seeded_client()
+        client.train()
+        return bms, client
+
+    def test_post_sightings_batch_returns_rooms(self):
+        _, client = self.make_served_client()
+        rooms = client.post_sightings_batch(
+            [
+                {"device_id": "a", "beacons": KITCHEN},
+                {"device_id": "b", "beacons": LIVING},
+            ],
+            time=1.0,
+        )
+        assert rooms == ["kitchen", "living"]
+
+    def test_post_sightings_batch_raises_on_validation(self):
+        _, client = self.make_served_client()
+        with pytest.raises(BmsApiError) as excinfo:
+            client.post_sightings_batch([], time=1.0)
+        assert excinfo.value.status == 400
+
+    def test_history_returns_typed_record(self):
+        bms, client = self.make_served_client()
+        client.post_sightings_batch(
+            [{"device_id": "a", "beacons": KITCHEN}], time=1.0
+        )
+        bms.record_history(5.0)
+        bms.record_history(10.0)
+        history = client.history("kitchen")
+        assert isinstance(history, RoomHistory)
+        assert history.room == "kitchen"
+        assert history.series == ((5.0, 1), (10.0, 1))
+        assert history.peak == 1
+        assert history.utilisation == 1.0
+
+    def test_batch_request_builder_shapes_wire_format(self):
+        request = BmsClient.batch_request(
+            [{"device_id": "a", "beacons": {"b1": 1.0}, "time": 2.0}], time=2.0
+        )
+        assert request.method == "POST"
+        assert request.path == "/sightings/batch"
+        assert request.body["sightings"][0]["device_id"] == "a"
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         bms, client = seeded_client()
@@ -112,70 +199,3 @@ class TestPersistence:
         assert save_calibration(bms, path) == 0
         assert load_calibration(fresh_bms(), path) == 0
 
-
-class TestShardedPersistence:
-    """Calibration round trips through the sharded broadcast: one file
-    restores K identical shard models."""
-
-    def make_service(self, shards):
-        from repro.server.sharded import ShardedBmsService
-
-        return ShardedBmsService(
-            ["1-1", "1-2"], shards=shards, drain_policy="immediate"
-        )
-
-    def seed(self, service):
-        for i in range(8):
-            service.add_fingerprint(
-                "kitchen", {"1-1": 1.0 + 0.1 * i, "1-2": 8.0}, float(i)
-            )
-            service.add_fingerprint(
-                "living", {"1-1": 8.0, "1-2": 1.0 + 0.1 * i}, float(i)
-            )
-        service.train()
-
-    def test_single_store_save_restores_to_sharded(self, tmp_path):
-        bms, _ = seeded_client()
-        bms.train()
-        path = tmp_path / "calibration.json"
-        save_calibration(bms, path)
-
-        service = self.make_service(3)
-        assert load_calibration(service, path) == 16
-        assert service.trained
-        probes = [
-            {"1-1": 1.2, "1-2": 8.0},
-            {"1-1": 8.0, "1-2": 1.3},
-            {"1-1": 1.0, "1-2": 7.5},
-        ]
-        # Broadcast restore: every shard answers like the source store.
-        assert service.classify_batch(probes) == bms.classify_batch(probes)
-        for shard in service._shards:
-            assert shard.classify_batch(probes) == bms.classify_batch(probes)
-
-    def test_sharded_save_reads_shard_zero(self, tmp_path):
-        service = self.make_service(4)
-        self.seed(service)
-        path = tmp_path / "calibration.json"
-        assert save_calibration(service, path) == 16
-
-        restored = self.make_service(2)
-        assert load_calibration(restored, path) == 16
-        probes = [{"1-1": 1.1, "1-2": 8.0}, {"1-1": 8.0, "1-2": 1.1}]
-        assert restored.classify_batch(probes) == service.classify_batch(
-            probes
-        )
-
-    def test_round_trip_preserves_fingerprint_rows(self, tmp_path):
-        service = self.make_service(3)
-        self.seed(service)
-        path = tmp_path / "calibration.json"
-        save_calibration(service, path)
-        restored = self.make_service(3)
-        load_calibration(restored, path)
-        for original, rebuilt in zip(service._shards, restored._shards):
-            rows = lambda shard: [
-                (row["time"], row["room"], row["beacons"])
-                for row in shard.db.table("fingerprints")
-            ]
-            assert rows(rebuilt) == rows(original)

@@ -5,10 +5,11 @@ The pinned contract: folding a WAL back through
 externally observable state *byte for byte* — occupancy snapshot,
 history series, sighting counts, and every ``server.*`` telemetry
 counter — and the replay chunk size never changes the result, only
-the wall clock.  The same holds shard by shard for
-:func:`~repro.server.replay.replay_sharded`, and end to end for
+the wall clock.  The same holds end to end for
 :func:`~repro.server.replay.server_from_manifest` directories.
 """
+
+import json
 
 import pytest
 
@@ -16,17 +17,15 @@ from repro.ml.kernels import RbfKernel
 from repro.ml.svm import SupportVectorClassifier
 from repro.obs.metrics import MetricsRegistry
 from repro.server.bms import BuildingManagementServer
-from repro.server.client import BmsClient
 from repro.server.persistence import save_calibration
 from repro.server.replay import (
     CALIBRATION_NAME,
+    MANIFEST_NAME,
     load_manifest,
-    replay_sharded,
     replay_wal,
     server_from_manifest,
     write_manifest,
 )
-from repro.server.sharded import ShardedBmsService
 from repro.traces.wal import SightingWal
 
 BEACONS = ["b1", "b2", "b3"]
@@ -89,40 +88,26 @@ def drive_live(server):
 
 def server_metrics(registry):
     """The ``server.*`` slice of a registry state (live vs replay
-    comparable: the live side additionally carries ``wal.*``, and the
-    ``server.frontdoor.*`` / ``server.shard.*`` request and queue
-    counters are transport-level — the replay applies state directly
-    to the shard stores, it does not re-serve the original HTTP
-    requests or re-run the drain queues)."""
+    comparable: the live side additionally carries ``wal.*``)."""
     state = registry.state()
-    transport = ("server.frontdoor.", "server.shard.")
     return {
         kind: {
             name: payload
             for name, payload in state[kind].items()
             if name.startswith("server.")
-            and not name.startswith(transport)
         }
         for kind in ("counters", "gauges", "histograms")
     }
 
 
 def observable_state(server):
-    history = (
-        server.merged_history()
-        if hasattr(server, "merged_history")
-        else server.history
-    )
+    history = server.history
     return {
         "snapshot": server.snapshot(),
         "history": {
             room: history.series(room) for room in history.rooms()
         },
-        "sightings": (
-            server.sighting_count()
-            if callable(server.sighting_count)
-            else server.sighting_count
-        ),
+        "sightings": server.sighting_count,
     }
 
 
@@ -197,98 +182,6 @@ class TestReplaySingleStore:
         assert server_metrics(registry) == server_metrics(live_registry)
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-class TestReplaySharded:
-    def make_service(self, registry, shards, wal_dir=None):
-        service = ShardedBmsService(
-            BEACONS,
-            shards=shards,
-            classifier_factory=make_classifier,
-            registry=registry,
-            drain_policy="immediate",
-            wal_dir=wal_dir,
-        )
-        calibrate(service)
-        return service
-
-    def drive(self, service):
-        client = BmsClient(service.router)
-        for i in range(12):
-            room = list(ROOM_BASES)[i % 3]
-            client.post_sighting(
-                f"dev-{i:02d}", near(room, 0.01 * i), float(i)
-            )
-        service.record_history(12.0)
-        client.post_sightings_batch(
-            [
-                {
-                    "device_id": f"dev-{i:02d}",
-                    "beacons": near("hall"),
-                    "time": 13.0,
-                }
-                for i in range(4)
-            ]
-        )
-        service.record_history(14.0)
-
-    def test_state_is_byte_identical(self, tmp_path, shards):
-        live = self.make_service(
-            MetricsRegistry(), shards, wal_dir=tmp_path / "wal"
-        )
-        self.drive(live)
-        live.close_wals()
-
-        restored = self.make_service(MetricsRegistry(), shards)
-        report = replay_sharded(restored, tmp_path / "wal")
-        assert observable_state(restored) == observable_state(live)
-        assert report.sightings == 16
-        assert report.history_marks == 2 * shards
-        # Per-shard telemetry: merged server.* counters come out equal.
-        assert server_metrics(restored.merged_telemetry()) == server_metrics(
-            live.merged_telemetry()
-        )
-        # Routing decisions survive: device reads answer identically.
-        for i in range(12):
-            device = f"dev-{i:02d}"
-            assert restored.device_room(device) == live.device_room(device)
-
-    def test_shard_count_mismatch_rejected(self, tmp_path, shards):
-        live = self.make_service(
-            MetricsRegistry(), shards, wal_dir=tmp_path / "wal"
-        )
-        self.drive(live)
-        live.close_wals()
-        wrong = self.make_service(MetricsRegistry(), shards + 1)
-        with pytest.raises(ValueError, match="shard"):
-            replay_sharded(wrong, tmp_path / "wal")
-
-    def test_misnumbered_shard_log_rejected(self, tmp_path, shards):
-        # Logs pair with stores by parsed numeric suffix, never by
-        # lexicographic sort position (shard-100 sorts before
-        # shard-11): a suffix that is not its shard index is an error.
-        live = self.make_service(
-            MetricsRegistry(), shards, wal_dir=tmp_path / "wal"
-        )
-        self.drive(live)
-        live.close_wals()
-        last = tmp_path / "wal" / f"shard-{shards - 1:02d}"
-        last.rename(tmp_path / "wal" / f"shard-{shards + 5:02d}")
-        restored = self.make_service(MetricsRegistry(), shards)
-        with pytest.raises(ValueError, match="does not match shard"):
-            replay_sharded(restored, tmp_path / "wal")
-
-    def test_unrecognised_shard_log_rejected(self, tmp_path, shards):
-        live = self.make_service(
-            MetricsRegistry(), shards, wal_dir=tmp_path / "wal"
-        )
-        self.drive(live)
-        live.close_wals()
-        (tmp_path / "wal" / "shard-extra").mkdir()
-        restored = self.make_service(MetricsRegistry(), shards)
-        with pytest.raises(ValueError, match="unrecognised"):
-            replay_sharded(restored, tmp_path / "wal")
-
-
 class TestManifest:
     def test_round_trip(self, tmp_path):
         write_manifest(
@@ -299,12 +192,25 @@ class TestManifest:
             svm_c=10.0,
             svm_gamma=0.5,
             seed=7,
-            shards=3,
         )
         manifest = load_manifest(tmp_path)
         assert manifest["beacon_ids"] == BEACONS
         assert manifest["seed"] == 7
-        assert manifest["shards"] == 3
+        assert manifest["shards"] == 1
+
+    def test_write_manifest_rejects_multiple_shards(self, tmp_path):
+        with pytest.raises(ValueError, match="shards"):
+            write_manifest(
+                tmp_path,
+                beacon_ids=BEACONS,
+                missing_value=25.0,
+                device_timeout_s=60.0,
+                svm_c=10.0,
+                svm_gamma=0.5,
+                seed=7,
+                shards=4,
+            )
+        assert not (tmp_path / MANIFEST_NAME).exists()
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
@@ -343,4 +249,24 @@ class TestManifest:
             seed=0,
         )
         with pytest.raises(ValueError, match="calibration"):
+            server_from_manifest(tmp_path)
+
+    def test_server_from_manifest_rejects_multi_store_log(self, tmp_path):
+        # A directory written by an older multi-store run: one manifest
+        # announcing four shard logs next to a calibration snapshot.
+        write_manifest(
+            tmp_path,
+            beacon_ids=BEACONS,
+            missing_value=25.0,
+            device_timeout_s=60.0,
+            svm_c=10.0,
+            svm_gamma=0.5,
+            seed=0,
+        )
+        path = tmp_path / MANIFEST_NAME
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["shards"] = 4
+        path.write_text(json.dumps(document), encoding="utf-8")
+        save_calibration(make_server(), tmp_path / CALIBRATION_NAME)
+        with pytest.raises(ValueError, match="'shards'"):
             server_from_manifest(tmp_path)
