@@ -8,9 +8,15 @@ and then measures the wall-clock win on the drive phase, which grows
 with fleet size (the scalar loop is O(devices) python dispatch per
 scan tick, the columnar one amortises it).
 
-The >= 5x bar applies on hosts with >= 2 usable cores (numpy gets
+The >= 4x bar applies on hosts with >= 2 usable cores (numpy gets
 vector width regardless, but single-core containers throttle the
-BLAS/memory subsystem enough to warrant the softer >= 2x bar).
+BLAS/memory subsystem enough to warrant the softer >= 2x bar).  The
+bar was 5x until the scalar engine began sharing the advertising
+window and the wall kernel with the columnar one: that made the
+ratio's denominator about 3x faster, so the bar now sits at the
+five-run median measured then (4.1x), rounded down, and the absolute
+``scalar drive (s)`` / ``columnar drive (s)`` rows are gated in
+``benchmarks/bench_baseline.json``.
 """
 
 import time
@@ -90,12 +96,12 @@ def test_perf_columnar_fleet_drive():
                 "-",
                 f"{DEVICES / t_columnar:.1f}",
             ),
-            ("speedup", ">= 5x on >= 2 cores", f"{speedup:.2f}x"),
+            ("speedup", ">= 4x on >= 2 cores", f"{speedup:.2f}x"),
         ],
     )
 
     if cores >= 2:
-        assert speedup >= 5.0, (
+        assert speedup >= 4.0, (
             f"columnar only {speedup:.2f}x faster on {cores} cores"
         )
     else:

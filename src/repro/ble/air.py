@@ -9,7 +9,7 @@ which advertisements were received and at what RSSI?*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,10 +17,11 @@ from repro.ble.advertiser import Advertiser
 from repro.building.floorplan import FloorPlan
 from repro.building.geometry import Point
 from repro.ibeacon.packet import IBeaconPacket
+from repro.obs import profiling
 from repro.radio.channel import ChannelModel
 from repro.radio.devices import DeviceRadioProfile
 
-__all__ = ["Sighting", "AirInterface"]
+__all__ = ["Sighting", "AdvertisingWindow", "AirInterface"]
 
 #: Callable giving the receiver position at a time (mobility binding).
 PositionFn = Callable[[float], Point]
@@ -51,6 +52,30 @@ class Sighting:
     payload: bytes = b""
 
 
+@dataclass(frozen=True)
+class AdvertisingWindow:
+    """Every advertisement on the air in ``[t_start, t_end)``.
+
+    Samples are beacon-major: each advertiser's schedule in turn.
+    ``segments`` holds ``(start, end, advertiser index)`` for every
+    advertiser with traffic; ``time_order`` is the stable argsort of
+    ``times`` (reception order).  Nothing here depends on the
+    receiver, so one window serves every phone that scans it.
+    """
+
+    t_start: float
+    t_end: float
+    times: np.ndarray
+    tx_ids: List[str]
+    tx_xy: np.ndarray
+    tx_power_dbm: np.ndarray
+    segments: Tuple[Tuple[int, int, int], ...]
+    time_order: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
 class AirInterface:
     """Samples the channel for every advertisement in a window.
 
@@ -58,23 +83,54 @@ class AirInterface:
         plan: floor plan with installed beacons (also provides the
             wall oracle unless the channel already has one).
         channel: the statistical channel; if its ``wall_oracle`` is
-            unset, the plan's :meth:`~repro.building.floorplan.FloorPlan.walls_crossed`
+            unset, the plan's :meth:`~repro.building.floorplan.FloorPlan.wall_losses`
             is installed.
+
+    The interface holds only the latest :class:`AdvertisingWindow`:
+    in-step scanners share it, and memory stays bounded.
     """
 
     def __init__(self, plan: FloorPlan, channel: Optional[ChannelModel] = None) -> None:
         self.plan = plan
         self.channel = channel if channel is not None else ChannelModel()
         if self.channel.wall_oracle is None:
-            self.channel.wall_oracle = plan.walls_crossed
-        self.advertisers: List[Advertiser] = [
-            Advertiser(placement=b) for b in plan.beacons
-        ]
+            self.channel.wall_oracle = plan.wall_losses
+        beacons = plan.beacons
+        self.advertisers: List[Advertiser] = [Advertiser(placement=b) for b in beacons]
+        self._ids = [b.beacon_id for b in beacons]
+        self._tx_xy = np.array([b.position.as_tuple() for b in beacons]).reshape(-1, 2)
+        self._tx_power = np.array([b.effective_radiated_power_dbm for b in beacons])
+        self._packets = {b.beacon_id: b.packet for b in beacons}
         # Encode each beacon's payload once; every advertisement of a
         # beacon carries identical bytes.
-        self._payloads = {
-            b.beacon_id: b.packet.encode() for b in plan.beacons
-        }
+        self._payloads = {b.beacon_id: b.packet.encode() for b in beacons}
+        self._window: Optional[AdvertisingWindow] = None
+
+    def window(self, t_start: float, t_end: float) -> AdvertisingWindow:
+        """The advertisements in ``[t_start, t_end)``, built once per window."""
+        held = self._window
+        if held is not None and (held.t_start, held.t_end) == (t_start, t_end):
+            profiling.tick("ble.air.window_hit")
+            return held
+        profiling.tick("ble.air.window_miss")
+        per_adv = [adv.times_in(t_start, t_end) for adv in self.advertisers]
+        counts = [len(ts) for ts in per_adv]
+        index = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        ends = np.cumsum(counts, dtype=np.int64).tolist()
+        times = np.array([t for ts in per_adv for t in ts], dtype=float)
+        self._window = AdvertisingWindow(
+            t_start=t_start,
+            t_end=t_end,
+            times=times,
+            tx_ids=[self._ids[k] for k in index.tolist()],
+            tx_xy=self._tx_xy[index],
+            tx_power_dbm=self._tx_power[index],
+            segments=tuple(
+                (end - c, end, k) for k, (c, end) in enumerate(zip(counts, ends)) if c
+            ),
+            time_order=np.argsort(times, kind="stable"),
+        )
+        return self._window
 
     def observe(
         self,
@@ -97,45 +153,35 @@ class AirInterface:
         Returns:
             Sightings sorted by reception time.
 
-        The window's advertisements are gathered beacon-major (every
-        advertiser's schedule in turn) and pushed through one
+        The shared :meth:`window` goes through one
         :meth:`~repro.radio.channel.ChannelModel.link_budget_many`
-        call, so the whole window costs a single numpy pass instead of
-        one Python-level budget per advertisement.
+        call; only the receiver positions and the random draws are
+        this phone's own.
         """
-        times: List[float] = []
-        tx_ids: List[str] = []
-        tx_positions: List[tuple] = []
-        rx_positions: List[tuple] = []
-        tx_powers: List[float] = []
-        placements = []
-        for adv in self.advertisers:
-            placement = adv.placement
-            tx_pos = placement.position.as_tuple()
-            for t in adv.times_in(t_start, t_end):
-                times.append(t)
-                tx_ids.append(placement.beacon_id)
-                tx_positions.append(tx_pos)
-                rx_positions.append(position_fn(t).as_tuple())
-                tx_powers.append(placement.effective_radiated_power_dbm)
-                placements.append(placement)
-        if not times:
-            return []
-        batch = self.channel.link_budget_many(
-            tx_ids, tx_positions, rx_positions, tx_powers, device, rng
-        )
-        sightings: List[Sighting] = []
-        for i in np.flatnonzero(batch.received):
-            placement = placements[i]
-            sightings.append(
+        with profiling.measure("ble.air.observe"):
+            window = self.window(t_start, t_end)
+            if not len(window):
+                return []
+            times = window.times.tolist()
+            rx_positions = [position_fn(t).as_tuple() for t in times]
+            batch = self.channel.link_budget_many(
+                window.tx_ids,
+                window.tx_xy,
+                rx_positions,
+                window.tx_power_dbm,
+                device,
+                rng,
+            )
+            order, ids = window.time_order, window.tx_ids
+            rssi, distance = batch.rssi.tolist(), batch.distance_m.tolist()
+            return [
                 Sighting(
                     time=times[i],
-                    beacon_id=placement.beacon_id,
-                    packet=placement.packet,
-                    rssi=float(batch.rssi[i]),
-                    true_distance_m=float(batch.distance_m[i]),
-                    payload=self._payloads[placement.beacon_id],
+                    beacon_id=ids[i],
+                    packet=self._packets[ids[i]],
+                    rssi=rssi[i],
+                    true_distance_m=distance[i],
+                    payload=self._payloads[ids[i]],
                 )
-            )
-        sightings.sort(key=lambda s: s.time)
-        return sightings
+                for i in order[batch.received[order]].tolist()
+            ]

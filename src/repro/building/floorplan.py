@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from repro.building.geometry import Point, Segment, segments_intersect
+import numpy as np
+
+from repro.building.geometry import _EPS, Point, Segment, segments_intersect
 from repro.ibeacon.packet import IBeaconPacket
 from repro.radio.materials import WALL_MATERIALS
 
@@ -31,6 +33,53 @@ def _as_point(value: PointLike) -> Point:
         return value
     x, y = value
     return Point(float(x), float(y))
+
+
+def _orient_sign(cross: np.ndarray) -> np.ndarray:
+    """Elementwise ``geometry._orient`` sign of a cross-product array."""
+    return (cross > _EPS).astype(np.int8) - (cross < -_EPS).astype(np.int8)
+
+
+#: Rays per pass of :meth:`FloorPlan.wall_losses`: a whole fleet's rays
+#: arrive in one call, and blocks bound the ``(walls, rays)`` temporaries.
+_RAY_BLOCK = 1024
+
+
+def _crossed_loss_db(walls, tx, rx) -> np.ndarray:
+    """Summed loss of the ``walls`` each ray ``tx[i]`` to ``rx[i]`` crosses."""
+    ends = np.array(
+        [(w.segment.a.as_tuple(), w.segment.b.as_tuple()) for w in walls], dtype=float
+    ).reshape(-1, 2, 2)
+    (ax, bx), (ay, by) = ends[:, :, 0].T[:, :, None], ends[:, :, 1].T[:, :, None]
+    px, py, qx, qy = tx[:, 0], tx[:, 1], rx[:, 0], rx[:, 1]
+    dx, dy, ex, ey = qx - px, qy - py, bx - ax, by - ay
+    # geometry._orient, shape (4, walls, rays): o[0], o[1] place the
+    # wall's ends about the ray, o[2], o[3] the ray's ends about the wall.
+    o = np.stack(
+        [
+            _orient_sign(dx * (ay - py) - dy * (ax - px)),
+            _orient_sign(dx * (by - py) - dy * (bx - px)),
+            _orient_sign(ex * (py - ay) - ey * (px - ax)),
+            _orient_sign(ex * (qy - ay) - ey * (qx - ax)),
+        ]
+    )
+    # Proper crossings: each segment's ends strictly straddle the other.
+    crossed = (o[0] * o[1] < 0) & (o[2] * o[3] < 0)
+    # Collinear touches (an end on the other segment, T-junctions,
+    # overlaps) need geometry._on_segment; only touching pairs are
+    # boxed.  Points per pair: wall a, wall b, ray p, ray q.
+    w, i = np.nonzero((o == 0).any(axis=0))
+    pts = np.concatenate([ends[w].transpose(1, 0, 2), np.stack([tx[i], rx[i]])])
+    # Case k: is pts[k] inside the box spanned by pts[lo[k]], pts[hi[k]]?
+    lo, hi = pts[[2, 2, 0, 0]], pts[[3, 3, 1, 1]]
+    inside = (
+        (np.minimum(lo, hi) - _EPS <= pts) & (pts <= np.maximum(lo, hi) + _EPS)
+    ).all(axis=-1)
+    crossed[w, i] = ((o[:, w, i] == 0) & inside).any(axis=0)
+    total = np.zeros(len(tx))
+    for wall, hit in zip(walls, crossed):
+        total += WALL_MATERIALS[wall.material].loss_db * hit
+    return total
 
 
 @dataclass(frozen=True)
@@ -240,6 +289,23 @@ class FloorPlan:
             for wall in self.walls
             if segments_intersect(ray, wall.segment)
         ]
+
+    def wall_losses(self, tx_xy: np.ndarray, rx_xy: np.ndarray) -> np.ndarray:
+        """Total wall attenuation in dB of each ray ``tx_xy[i]`` to ``rx_xy[i]``.
+
+        The radio channel's ``wall_oracle`` over ``(n, 2)`` arrays: the
+        ``segments_intersect`` predicate as numpy passes over ``(walls,
+        rays)`` and the crossed losses summed in plan wall order, so
+        each row equals ``wall_loss_db(walls_crossed(tx, rx))`` bit for
+        bit.  Walls are read at call time, as ``walls_crossed`` does.
+        """
+        tx = np.asarray(tx_xy, dtype=float).reshape(-1, 2)
+        rx = np.asarray(rx_xy, dtype=float).reshape(-1, 2)
+        total = np.zeros(len(tx))
+        for k in range(0, len(tx), _RAY_BLOCK):
+            block = slice(k, k + _RAY_BLOCK)
+            total[block] = _crossed_loss_db(self.walls, tx[block], rx[block])
+        return total
 
     def bounds(self) -> tuple[float, float, float, float]:
         """Bounding box ``(x_min, y_min, x_max, y_max)`` over all rooms.

@@ -28,7 +28,6 @@ import numpy as np
 from repro.obs import profiling
 from repro.radio.devices import DeviceRadioProfile
 from repro.radio.fading import RicianFading
-from repro.radio.materials import wall_loss_db
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.radio.shadowing import ShadowingField
 from repro.sim.rng import derive_seed
@@ -37,9 +36,11 @@ __all__ = ["LinkBudget", "LinkBudgetBatch", "ChannelModel"]
 
 Position = Tuple[float, float]
 
-#: Callable that reports the wall materials crossed by the straight
-#: segment between two positions.  Provided by the building geometry.
-WallOracle = Callable[[Position, Position], Sequence[str]]
+#: Callable giving the total wall loss in dB of each straight ray
+#: between ``(n, 2)`` transmitter and receiver coordinate arrays, one
+#: value per row.  Provided by the building geometry
+#: (:meth:`~repro.building.floorplan.FloorPlan.wall_losses`).
+WallOracle = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class ChannelModel:
             fields; 0 disables shadowing.
         shadowing_correlation_m: Gudmundson correlation distance.
         fading: fast-fading model; ``None`` disables fading.
-        wall_oracle: callable returning materials crossed between two
-            positions; ``None`` means free space (no walls).
+        wall_oracle: callable returning the wall loss in dB of each
+            transmitter-receiver row; ``None`` means free space (no
+            walls).
         collision_loss_prob: probability a given advertisement is lost
             to co-channel collisions / scanner duty-cycle misses,
             independent of the device's own stack bugs.
@@ -161,26 +163,11 @@ class ChannelModel:
             )
         return self._shadow_fields[tx_id]
 
-    def _deterministic_parts(
-        self, tx_id: str, tx_pos: Position, rx_pos: Position, tx_power_dbm: float
-    ) -> Tuple[float, float, float, float]:
-        """The seed-free budget components of one link.
-
-        Returns:
-            ``(distance_m, path_loss_db, wall_loss_db, shadowing_db)``
-            — everything the budget needs that does not consume the
-            random stream (shadowing is deterministic per position).
-        """
-        dx = rx_pos[0] - tx_pos[0]
-        dy = rx_pos[1] - tx_pos[1]
-        distance = float(np.hypot(dx, dy))
-        mean_rssi = self.path_loss.rssi(max(distance, 1e-6), tx_power_dbm)
-        path_loss = tx_power_dbm - mean_rssi
-        walls = 0.0
-        if self.wall_oracle is not None:
-            walls = wall_loss_db(self.wall_oracle(tx_pos, rx_pos))
-        shadow = self._shadow_field(tx_id).sample(rx_pos[0], rx_pos[1])
-        return distance, path_loss, walls, shadow
+    def wall_losses(self, tx_xy: np.ndarray, rx_xy: np.ndarray) -> np.ndarray:
+        """Wall loss in dB of each ``(n, 2)`` row pair (zero without an oracle)."""
+        if self.wall_oracle is None:
+            return np.zeros(len(tx_xy))
+        return np.asarray(self.wall_oracle(tx_xy, rx_xy), dtype=float)
 
     def link_budget(
         self,
@@ -192,9 +179,13 @@ class ChannelModel:
         rng: np.random.Generator,
     ) -> LinkBudget:
         """Draw one RSSI sample and return its full decomposition."""
-        distance, path_loss, walls, shadow = self._deterministic_parts(
-            tx_id, tx_pos, rx_pos, tx_power_dbm
+        distance = float(np.hypot(rx_pos[0] - tx_pos[0], rx_pos[1] - tx_pos[1]))
+        mean_rssi = self.path_loss.rssi(max(distance, 1e-6), tx_power_dbm)
+        path_loss = tx_power_dbm - mean_rssi
+        walls = float(
+            self.wall_losses(np.array([tx_pos], float), np.array([rx_pos], float))[0]
         )
+        shadow = self._shadow_field(tx_id).sample(rx_pos[0], rx_pos[1])
         fade = self.fading.sample_db(rng) if self.fading is not None else 0.0
         noise = (
             float(rng.normal(0.0, device.rssi_noise_db))
@@ -278,12 +269,7 @@ class ChannelModel:
             mean_rssi = self.path_loss.rssi(np.maximum(distance, 1e-6), tx_powers)
             path_loss = tx_powers - mean_rssi
 
-            walls = np.zeros(n)
-            if self.wall_oracle is not None:
-                for i in range(n):
-                    walls[i] = wall_loss_db(
-                        self.wall_oracle(tuple(tx_xy[i]), tuple(rx_xy[i]))
-                    )
+            walls = self.wall_losses(tx_xy, rx_xy)
 
             shadow = np.empty(n)
             tx_id_arr = np.asarray(tx_ids, dtype=object)

@@ -102,14 +102,16 @@ class ShadowingField:
         fx, fy = gx - ix, gy - iy
         # Distinct corner cells are few (positions cluster within a
         # building), so fill the cache once per unique cell and gather
-        # every corner lookup from the deduplicated value table.
-        cx = np.stack([ix, ix + 1, ix, ix + 1])
-        cy = np.stack([iy, iy, iy + 1, iy + 1])
-        keys = np.stack([cx.ravel(), cy.ravel()], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        values = np.array(
-            [self._cell_value(int(a), int(b)) for a, b in uniq], dtype=float
-        )
+        # every corner lookup from the deduplicated value table.  Each
+        # cell has one integer key, row-major over the corners'
+        # bounding box, so the keys sort in (ix, iy) order.
+        x0, y0 = ix.min(initial=0), iy.min(initial=0)
+        height = iy.max(initial=0) - y0 + 2
+        key = (ix - x0) * height + (iy - y0)
+        keys = np.concatenate([key, key + height, key + 1, key + height + 1], axis=None)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        cells = zip((uniq // height + x0).tolist(), (uniq % height + y0).tolist())
+        values = np.array([self._cell_value(a, b) for a, b in cells], dtype=float)
         corners = values[inverse].reshape((4,) + xs.shape)
         v00, v10, v01, v11 = corners
         top = v00 * (1 - fx) + v10 * fx

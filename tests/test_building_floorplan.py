@@ -1,6 +1,9 @@
 """Tests for rooms, walls, beacon placement and ground truth."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.building.floorplan import (
     OUTSIDE,
@@ -11,6 +14,7 @@ from repro.building.floorplan import (
 )
 from repro.building.geometry import Point, Segment
 from repro.building.presets import BUILDING_UUID, make_beacon
+from repro.radio.materials import WALL_MATERIALS
 
 
 class TestRoom:
@@ -131,3 +135,102 @@ class TestFloorPlan:
 
     def test_repr_mentions_rooms(self):
         assert "a" in repr(self.make_plan())
+
+
+class TestWallLossKernel:
+    """``FloorPlan.wall_losses`` equals the per-ray oracle, bit for bit."""
+
+    @staticmethod
+    def per_ray(plan, tx, rx):
+        from repro.radio.materials import wall_loss_db
+
+        return np.array(
+            [wall_loss_db(plan.walls_crossed(a, b)) for a, b in zip(tx, rx)]
+        )
+
+    def plan_with(self, walls):
+        return FloorPlan(rooms=[Room("r", -5, -5, 5, 5)], walls=walls)
+
+    def assert_matches_oracle(self, plan, tx, rx):
+        tx = np.asarray(tx, dtype=float).reshape(-1, 2)
+        rx = np.asarray(rx, dtype=float).reshape(-1, 2)
+        kernel = plan.wall_losses(tx, rx)
+        expected = self.per_ray(plan, tx.tolist(), rx.tolist())
+        assert kernel.shape == (len(tx),)
+        assert kernel.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "tx, rx, crossed",
+        [
+            ((-1.0, 0.0), (1.0, 0.0), True),  # proper crossing
+            ((0.0, 0.0), (1.0, 0.0), True),  # ray starts on the wall
+            ((-1.0, -2.0), (1.0, -2.0), True),  # ray touches the wall's end
+            ((-1.0, 3.0), (1.0, 3.0), False),  # passes beyond the wall's end
+            ((0.0, -3.0), (0.0, -1.0), True),  # collinear overlap
+            ((0.0, 3.0), (0.0, 4.0), False),  # collinear, disjoint
+            ((0.0, 1.0), (0.0, 1.0), True),  # zero-length ray on the wall
+            ((1.0, 1.0), (1.0, 1.0), False),  # zero-length ray off the wall
+        ],
+    )
+    def test_degenerate_rays(self, tx, rx, crossed):
+        wall = Wall(Segment(Point(0.0, -2.0), Point(0.0, 2.0)), "brick")
+        plan = self.plan_with([wall])
+        self.assert_matches_oracle(plan, [tx], [rx])
+        assert plan.wall_losses(np.array([tx]), np.array([rx]))[0] == (
+            8.0 if crossed else 0.0
+        )
+
+    def test_t_junction_counts_both_walls(self):
+        stem = Wall(Segment(Point(0.0, 0.0), Point(0.0, 2.0)), "drywall")
+        bar = Wall(Segment(Point(-2.0, 0.0), Point(2.0, 0.0)), "concrete")
+        plan = self.plan_with([stem, bar])
+        self.assert_matches_oracle(
+            plan, [(-1.0, -1.0), (0.0, -1.0)], [(1.0, 1.0), (0.0, 0.0)]
+        )
+        assert plan.wall_losses(np.array([[-1.0, -1.0]]), np.array([[1.0, 1.0]]))[
+            0
+        ] == 15.0
+
+    def test_plan_without_walls(self):
+        plan = self.plan_with([])
+        rays = np.array([[0.0, 0.0], [1.0, 2.0]])
+        assert plan.wall_losses(rays, rays[::-1]).tolist() == [0.0, 0.0]
+        assert plan.wall_losses(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+
+    def test_wall_added_after_the_oracle_was_installed(self):
+        from repro.ble.air import AirInterface
+        from repro.building.presets import two_room_corridor
+
+        plan = two_room_corridor()
+        air = AirInterface(plan)
+        tx, rx = np.array([[1.0, 1.0]]), np.array([[1.0, 3.0]])
+        before = air.channel.wall_oracle(tx, rx)[0]
+        plan.walls.append(Wall(Segment(Point(0.0, 2.0), Point(2.0, 2.0)), "metal"))
+        after = air.channel.wall_oracle(tx, rx)[0]
+        assert after == before + 26.0
+        self.assert_matches_oracle(plan, tx, rx)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_ray_oracle(self, data):
+        # Half-metre grid coordinates make shared endpoints, collinear
+        # overlaps, T-junctions and zero-length rays common; free floats
+        # cover the general position.
+        coord = st.one_of(
+            st.integers(-6, 6).map(lambda v: v / 2.0),
+            st.floats(-4.0, 4.0, allow_nan=False),
+        )
+        point = st.tuples(coord, coord)
+        walls = data.draw(
+            st.lists(
+                st.tuples(point, point, st.sampled_from(sorted(WALL_MATERIALS))),
+                max_size=6,
+            )
+        )
+        plan = self.plan_with(
+            [Wall(Segment(Point(*a), Point(*b)), m) for a, b, m in walls]
+        )
+        rays = data.draw(st.lists(st.tuples(point, point), max_size=12))
+        tx = [a for a, _ in rays]
+        rx = [b for _, b in rays]
+        self.assert_matches_oracle(plan, tx, rx)

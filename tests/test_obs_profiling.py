@@ -6,7 +6,10 @@ installed, and profiles must stay presentational: they ride outside
 byte-identical to bare ones.
 """
 
+import json
+
 import numpy as np
+import pytest
 
 from repro.fleet import FleetLoadGenerator
 from repro.obs import WallClockProfiler
@@ -166,6 +169,21 @@ class TestFleetProfile:
         assert "profile" not in profiled.to_dict()
         assert profiled.to_dict() == bare.to_dict()
         assert profiled == bare
+
+    @pytest.mark.parametrize("columnar", [False, True], ids=["scalar", "columnar"])
+    def test_air_window_rows_and_byte_identical_report(self, columnar):
+        profiled = run_fleet(profile=True, columnar=columnar)
+        bare = run_fleet(columnar=columnar)
+        counts = profiled.profile["counts"]
+        # The calibration walk observes through the air interface on
+        # both engines; 15 drive ticks of 4 phones share one window
+        # each, so the scalar drive reuses every window 3 times.
+        assert "ble.air.observe" in profiled.profile["totals"]
+        assert counts["ble.air.window_miss"] >= 15
+        assert counts.get("ble.air.window_hit", 0) == (0 if columnar else 45)
+        assert json.dumps(profiled.to_dict(), sort_keys=True) == json.dumps(
+            bare.to_dict(), sort_keys=True
+        )
 
     def test_profile_table_without_profile_is_empty_placeholder(self):
         assert run_fleet().profile_table() == "(no sections profiled)"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.radio.shadowing import ShadowingField
 
@@ -87,3 +89,57 @@ class TestSampleMany:
     def test_zero_sigma_shape(self):
         field = ShadowingField(sigma_db=0.0)
         assert field.sample_many(np.zeros((3, 2)), np.zeros((3, 2))).shape == (3, 2)
+
+
+class TestSampleManyDedup:
+    """``sample_many`` gathers exactly the cells ``sample`` reads."""
+
+    @staticmethod
+    def pair(seed=7):
+        return (
+            ShadowingField(sigma_db=3.0, correlation_distance_m=2.0, link_seed=seed),
+            ShadowingField(sigma_db=3.0, correlation_distance_m=2.0, link_seed=seed),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(-60.0, 60.0, allow_nan=False),
+                st.floats(-60.0, 60.0, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_scalar_and_fills_same_cells(self, points, seed):
+        batched, scalar = self.pair(seed)
+        xs = np.array([x for x, _ in points], dtype=float)
+        ys = np.array([y for _, y in points], dtype=float)
+        values = batched.sample_many(xs, ys)
+        expected = [scalar.sample(x, y) for x, y in points]
+        assert values.shape == xs.shape
+        assert values.tolist() == expected
+        assert batched._cells == scalar._cells
+
+    def test_single_negative_point(self):
+        batched, scalar = self.pair()
+        value = batched.sample_many(np.array([-3.7]), np.array([-0.2]))
+        assert value.tolist() == [scalar.sample(-3.7, -0.2)]
+        assert set(batched._cells) == {(-2, -1), (-1, -1), (-2, 0), (-1, 0)}
+        assert batched._cells == scalar._cells
+
+    def test_empty_input(self):
+        field = ShadowingField(sigma_db=3.0, link_seed=1)
+        assert field.sample_many(np.array([]), np.array([])).shape == (0,)
+        assert field._cells == {}
+
+    def test_two_dimensional_input_keeps_shape(self):
+        batched, scalar = self.pair()
+        xs = np.array([[0.5, -4.5, 9.0], [3.0, 3.0, -0.1]])
+        ys = np.array([[1.0, 2.0, -7.5], [-3.0, 3.0, 0.1]])
+        values = batched.sample_many(xs, ys)
+        assert values.shape == (2, 3)
+        assert values.ravel().tolist() == [
+            scalar.sample(x, y) for x, y in zip(xs.ravel(), ys.ravel())
+        ]
